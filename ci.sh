@@ -10,7 +10,7 @@ echo "==> cargo build --release"
 cargo build --release
 
 echo "==> cargo test -q (workspace)"
-cargo test -q
+cargo test --workspace -q
 
 echo "==> determinism suite, --test-threads=1 (release, includes standard profile)"
 cargo test --release -q --test parallel_determinism --test determinism -- --test-threads=1 --include-ignored

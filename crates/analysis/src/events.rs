@@ -132,38 +132,74 @@ impl AttackDataset {
         rdns.domain_of(src).is_some_and(|d| d.ends_with(".scanner.example"))
     }
 
-    /// Classify one source seen by one honeypot.
+    /// Classify one source seen by one honeypot. This rescans every event,
+    /// so production code classifies through [`Self::classify_sources`];
+    /// this per-pair form is the reference its tests compare against.
     pub fn classify_source(
         &self,
         rdns: &ReverseDns,
         honeypot: &'static str,
         src: Ipv4Addr,
     ) -> SourceClass {
+        let (malicious, events) = self
+            .events
+            .iter()
+            .filter(|e| e.honeypot == honeypot && e.src == src)
+            .fold((false, 0), |(m, n), e| (m || self.is_malicious(e), n + 1));
+        Self::source_class(rdns, src, malicious, events)
+    }
+
+    /// Classify every (honeypot, src) pair in one pass over the events —
+    /// the same rule as [`Self::classify_source`], folded per pair.
+    pub fn classify_sources(
+        &self,
+        rdns: &ReverseDns,
+    ) -> BTreeMap<(&'static str, Ipv4Addr), SourceClass> {
+        let mut seen: BTreeMap<(&'static str, Ipv4Addr), (bool, usize)> = BTreeMap::new();
+        for e in &self.events {
+            let (malicious, events) = seen.entry((e.honeypot, e.src)).or_default();
+            *malicious = *malicious || self.is_malicious(e);
+            *events += 1;
+        }
+        seen.into_iter()
+            .map(|(pair, (malicious, events))| {
+                (pair, Self::source_class(rdns, pair.1, malicious, events))
+            })
+            .collect()
+    }
+
+    /// Whether one event is malicious behaviour on its own.
+    fn is_malicious(&self, e: &AttackEvent) -> bool {
+        let malicious_kind = matches!(
+            e.kind,
+            EventKind::LoginAttempt { .. }
+                | EventKind::PayloadDrop { .. }
+                | EventKind::DataWrite { .. }
+                | EventKind::ExploitSignature { .. }
+        );
+        // Flood participation — single-source or as part of a distributed
+        // swarm — is malicious behaviour.
+        malicious_kind || self.in_flood(e)
+    }
+
+    /// Whether an event belongs to a single-source or distributed flood.
+    fn in_flood(&self, e: &AttackEvent) -> bool {
+        self.dos_sources.contains(&(e.src, e.honeypot, e.protocol))
+            || self
+                .dos_minutes
+                .contains(&(e.honeypot, e.protocol, e.time.minute_index()))
+    }
+
+    /// The §4.3.1 rule for one source, given what its events showed.
+    fn source_class(
+        rdns: &ReverseDns,
+        src: Ipv4Addr,
+        saw_malicious: bool,
+        events: usize,
+    ) -> SourceClass {
         if Self::is_scanning_service(rdns, src) {
-            return SourceClass::ScanningService;
-        }
-        let mut saw_malicious_kind = false;
-        let mut event_count = 0usize;
-        for e in self.events.iter().filter(|e| e.honeypot == honeypot && e.src == src) {
-            event_count += 1;
-            saw_malicious_kind |= matches!(
-                e.kind,
-                EventKind::LoginAttempt { .. }
-                    | EventKind::PayloadDrop { .. }
-                    | EventKind::DataWrite { .. }
-                    | EventKind::ExploitSignature { .. }
-            );
-            // Flood participation — single-source or as part of a
-            // distributed swarm — is malicious behaviour.
-            if self.dos_sources.contains(&(src, honeypot, e.protocol))
-                || self
-                    .dos_minutes
-                    .contains(&(honeypot, e.protocol, e.time.minute_index()))
-            {
-                saw_malicious_kind = true;
-            }
-        }
-        if saw_malicious_kind || event_count > 6 {
+            SourceClass::ScanningService
+        } else if saw_malicious || events > 6 {
             // Recurring non-service traffic and malicious payloads are
             // malicious (§4.3.1).
             SourceClass::Malicious
@@ -174,13 +210,7 @@ impl AttackDataset {
 
     /// Attack type of one event, given the dataset's flood flags.
     pub fn attack_type(&self, event: &AttackEvent) -> AttackType {
-        if self
-            .dos_sources
-            .contains(&(event.src, event.honeypot, event.protocol))
-            || self
-                .dos_minutes
-                .contains(&(event.honeypot, event.protocol, event.time.minute_index()))
-        {
+        if self.in_flood(event) {
             // Everything in a flood episode is DoS traffic.
             if matches!(
                 event.kind,

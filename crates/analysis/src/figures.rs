@@ -5,7 +5,7 @@ use std::net::Ipv4Addr;
 
 use ofh_devices::DeviceType;
 use ofh_intel::{GreyNoiseDb, GreyNoiseLabel, ReverseDns, VirusTotalDb};
-use ofh_scan::{ztag, ScanResults};
+use ofh_scan::{count_distinct_addrs, ztag, ScanResults};
 use ofh_telescope::Telescope;
 use ofh_wire::Protocol;
 use serde::Serialize;
@@ -26,21 +26,22 @@ pub struct Fig2 {
 
 impl Fig2 {
     pub fn compute(zmap: &ScanResults) -> Fig2 {
-        let mut cells: BTreeMap<(Protocol, DeviceType), BTreeSet<Ipv4Addr>> = BTreeMap::new();
         let mut unidentified: BTreeMap<Protocol, u64> = BTreeMap::new();
-        for r in zmap.records.values() {
+        let tagged = zmap.records.values().filter_map(|r| {
             match ztag::tag_device_type(r.protocol, &r.response) {
-                Some(ty) => {
-                    cells.entry((r.protocol, ty)).or_default().insert(r.addr);
+                Some(ty) => Some(((r.protocol, ty), r.addr)),
+                None => {
+                    *unidentified.entry(r.protocol).or_insert(0) += 1;
+                    None
                 }
-                None => *unidentified.entry(r.protocol).or_insert(0) += 1,
             }
-        }
+        });
+        let cells = count_distinct_addrs(tagged)
+            .into_iter()
+            .map(|((p, t), n)| (p, t, n as u64))
+            .collect();
         Fig2 {
-            cells: cells
-                .into_iter()
-                .map(|((p, t), set)| (p, t, set.len() as u64))
-                .collect(),
+            cells,
             unidentified,
         }
     }

@@ -1,5 +1,7 @@
 //! Table 4 — exposed systems on the Internet by protocol and source.
 
+use std::collections::BTreeMap;
+
 use ofh_scan::ScanResults;
 use ofh_wire::Protocol;
 use serde::Serialize;
@@ -48,18 +50,17 @@ pub struct Table4 {
 
 impl Table4 {
     pub fn compute(zmap: &ScanResults, sonar: &ScanResults, shodan: &ScanResults) -> Table4 {
+        let [zmap, sonar, shodan] = [zmap, sonar, shodan].map(ScanResults::exposed_counts);
+        let exposed =
+            |counts: &BTreeMap<Protocol, usize>, p| counts.get(&p).copied().unwrap_or(0) as u64;
         // Table 4 is ordered ascending by the ZMap column.
         let mut rows: Vec<Table4Row> = Protocol::SCANNED
             .iter()
             .map(|&p| Table4Row {
                 protocol: p,
-                zmap: zmap.exposed_hosts(p) as u64,
-                sonar: if ofh_scan::datasets::sonar_coverage(p).is_some() {
-                    Some(sonar.exposed_hosts(p) as u64)
-                } else {
-                    None
-                },
-                shodan: shodan.exposed_hosts(p) as u64,
+                zmap: exposed(&zmap, p),
+                sonar: ofh_scan::datasets::sonar_coverage(p).map(|_| exposed(&sonar, p)),
+                shodan: exposed(&shodan, p),
             })
             .collect();
         rows.sort_by_key(|r| r.zmap);

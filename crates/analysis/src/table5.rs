@@ -27,25 +27,23 @@ pub struct Table5 {
 }
 
 impl Table5 {
-    /// Classify `results`, removing `honeypot_filter` addresses first
-    /// (the §4.2 sanitization step).
+    /// Classify `results`, skipping `honeypot_filter` addresses (the §4.2
+    /// sanitization step).
     pub fn compute(results: &ScanResults, honeypot_filter: &BTreeSet<Ipv4Addr>) -> Table5 {
-        let mut filtered = results.clone();
-        let honeypots_filtered = filtered.remove_addrs(honeypot_filter);
+        let census = results.misconfig_census(honeypot_filter);
         let mut rows: Vec<Table5Row> = Misconfig::ALL
             .iter()
             .map(|&class| Table5Row {
                 class,
-                devices: filtered.misconfigured_addrs(class).len() as u64,
+                devices: census.addrs(class).len() as u64,
             })
             .collect();
         // Table 5 is ordered ascending by count.
         rows.sort_by_key(|r| r.devices);
-        let total = filtered.all_misconfigured().len() as u64;
         Table5 {
             rows,
-            total,
-            honeypots_filtered,
+            total: census.all.len() as u64,
+            honeypots_filtered: census.excluded,
         }
     }
 
@@ -58,9 +56,11 @@ impl Table5 {
         results: &ScanResults,
         honeypot_filter: &BTreeSet<Ipv4Addr>,
     ) -> BTreeSet<Ipv4Addr> {
-        let mut filtered = results.clone();
-        filtered.remove_addrs(honeypot_filter);
-        filtered.all_misconfigured()
+        results
+            .misconfig_census(honeypot_filter)
+            .all
+            .into_iter()
+            .collect()
     }
 
     pub fn render(&self) -> String {

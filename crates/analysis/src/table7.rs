@@ -1,8 +1,7 @@
 //! Table 7 — attack events by honeypot and protocol, with per-honeypot
 //! unique-source classification.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::net::Ipv4Addr;
+use std::collections::BTreeMap;
 
 use ofh_honeypots::HoneypotKind;
 use ofh_intel::ReverseDns;
@@ -40,10 +39,8 @@ pub struct Table7 {
 impl Table7 {
     pub fn compute(dataset: &AttackDataset, rdns: &ReverseDns) -> Table7 {
         let mut counts: BTreeMap<(&'static str, Protocol), u64> = BTreeMap::new();
-        let mut srcs: BTreeMap<&'static str, BTreeSet<Ipv4Addr>> = BTreeMap::new();
         for e in &dataset.events {
             *counts.entry((e.honeypot, e.protocol)).or_insert(0) += 1;
-            srcs.entry(e.honeypot).or_default().insert(e.src);
         }
         let rows: Vec<Table7Row> = HoneypotKind::ALL
             .iter()
@@ -60,28 +57,25 @@ impl Table7 {
                     .collect::<Vec<_>>()
             })
             .collect();
-        let sources: Vec<Table7Sources> = HoneypotKind::ALL
+        let mut sources: Vec<Table7Sources> = HoneypotKind::ALL
             .iter()
-            .map(|hp| {
-                let name = hp.name();
-                let mut out = Table7Sources {
-                    honeypot: name,
-                    scanning: 0,
-                    malicious: 0,
-                    unknown: 0,
-                };
-                if let Some(set) = srcs.get(name) {
-                    for &src in set {
-                        match dataset.classify_source(rdns, name, src) {
-                            SourceClass::ScanningService => out.scanning += 1,
-                            SourceClass::Malicious => out.malicious += 1,
-                            SourceClass::Unknown => out.unknown += 1,
-                        }
-                    }
-                }
-                out
+            .map(|hp| Table7Sources {
+                honeypot: hp.name(),
+                scanning: 0,
+                malicious: 0,
+                unknown: 0,
             })
             .collect();
+        for ((honeypot, _), class) in dataset.classify_sources(rdns) {
+            let Some(out) = sources.iter_mut().find(|s| s.honeypot == honeypot) else {
+                continue;
+            };
+            match class {
+                SourceClass::ScanningService => out.scanning += 1,
+                SourceClass::Malicious => out.malicious += 1,
+                SourceClass::Unknown => out.unknown += 1,
+            }
+        }
         let total_events = rows.iter().map(|r| r.events).sum();
         Table7 {
             rows,
@@ -155,6 +149,7 @@ impl Table7 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
     use crate::events::register_service_rdns;
     use ofh_honeypots::{AttackEvent, EventKind};
     use ofh_net::SimTime;

@@ -412,12 +412,12 @@ impl Study {
         // ---- 4. Deterministic merge ------------------------------------
         progress("merging shard results");
         let merge_sw = Stopwatch::start();
-        let mut zmap_results = ScanResults::new("ZMap Scan");
-        let mut sonar_results = ScanResults::new("Project Sonar");
-        let mut shodan_results = ScanResults::new("Shodan");
+        let mut zmap_parts = Vec::with_capacity(outputs.len());
+        let mut sonar_parts = Vec::with_capacity(outputs.len());
+        let mut shodan_parts = Vec::with_capacity(outputs.len());
         let mut fingerprint_report = FingerprintReport::default();
         let mut logs: Vec<Vec<AttackEvent>> = vec![Vec::new(); 6];
-        let mut telescope = Telescope::new(GeoDb::new());
+        let mut telescope_parts = Vec::with_capacity(outputs.len());
         let mut counters = Counters::default();
         // Metric registries and trace rings merge order-independently
         // (counters sum, gauges max, histograms add bucket-wise; the trace
@@ -433,14 +433,14 @@ impl Study {
             scan_resilience.absorb(&out.resilience);
             conns_shed += out.conns_shed;
             leaked += out.leaked;
-            zmap_results.absorb(out.zmap);
-            sonar_results.absorb(out.sonar);
-            shodan_results.absorb(out.shodan);
+            zmap_parts.push(out.zmap);
+            sonar_parts.push(out.sonar);
+            shodan_parts.push(out.shodan);
             fingerprint_report.absorb(out.fingerprint);
             for (merged, shard_log) in logs.iter_mut().zip(out.logs) {
                 merged.extend(shard_log);
             }
-            telescope.absorb(out.telescope);
+            telescope_parts.push(out.telescope);
             counters.absorb(&out.counters);
             per_shard_events.push(out.counters.events_processed);
             if let Some(shard_obs) = out.obs {
@@ -449,6 +449,10 @@ impl Study {
             }
             simulate_node.push_child(out.profile);
         }
+        let zmap_results = ScanResults::merge_all("ZMap Scan", zmap_parts);
+        let sonar_results = ScanResults::merge_all("Project Sonar", sonar_parts);
+        let shodan_results = ScanResults::merge_all("Shodan", shodan_parts);
+        let telescope = Telescope::merge_all(GeoDb::new(), telescope_parts);
         fingerprint_report.normalize();
         trace.finish();
         // Fold the fabric counters in, so the snapshot carries the network

@@ -35,6 +35,6 @@ pub mod ztag;
 
 pub use classify::classify_response;
 pub use iterator::AddressPermutation;
-pub use results::{HostRecord, ScanResults};
+pub use results::{count_distinct_addrs, HostRecord, MisconfigCensus, ScanResults};
 pub use scanner::{RetryPolicy, ScanResilience, Scanner, ScannerConfig, TargetSpace};
 pub use schedule::scan_start;

@@ -70,6 +70,18 @@ impl ScanResults {
         self.records.extend(other.records);
     }
 
+    /// Union per-shard datasets of one source in a single bulk build: equal
+    /// to absorbing `parts` one after another, in any order, because their
+    /// key sets are disjoint. Each part iterates as one sorted run, so
+    /// `BTreeMap::from_iter` merges the runs and builds the tree bottom-up
+    /// instead of inserting record by record.
+    pub fn merge_all(source: impl Into<String>, parts: Vec<ScanResults>) -> ScanResults {
+        ScanResults {
+            source: source.into(),
+            records: parts.into_iter().flat_map(|p| p.records).collect(),
+        }
+    }
+
     pub fn len(&self) -> usize {
         self.records.len()
     }
@@ -81,7 +93,12 @@ impl ScanResults {
     /// Unique responsive hosts for a protocol (Table 4 cells: a host
     /// counts once even if seen on two ports, e.g. Telnet 23+2323).
     pub fn exposed_hosts(&self, protocol: Protocol) -> usize {
-        self.unique_addrs(protocol).len()
+        self.exposed_counts().get(&protocol).copied().unwrap_or(0)
+    }
+
+    /// Unique responsive hosts of every protocol, in one pass.
+    pub fn exposed_counts(&self) -> BTreeMap<Protocol, usize> {
+        count_distinct_addrs(self.records.values().map(|r| (r.protocol, r.addr)))
     }
 
     /// The set of unique addresses responsive on a protocol.
@@ -93,30 +110,26 @@ impl ScanResults {
             .collect()
     }
 
-    /// Unique addresses classified into a given misconfiguration.
-    pub fn misconfigured_addrs(&self, class: Misconfig) -> BTreeSet<Ipv4Addr> {
-        self.records
-            .values()
-            .filter(|r| r.misconfig() == Some(class))
-            .map(|r| r.addr)
-            .collect()
-    }
-
-    /// All misconfigured addresses across classes.
-    pub fn all_misconfigured(&self) -> BTreeSet<Ipv4Addr> {
-        self.records
-            .values()
-            .filter(|r| r.misconfig().is_some())
-            .map(|r| r.addr)
-            .collect()
-    }
-
-    /// Remove every record whose address is in `filter` (the honeypot
-    /// sanitization step). Returns how many records were dropped.
-    pub fn remove_addrs(&mut self, filter: &BTreeSet<Ipv4Addr>) -> usize {
-        let before = self.records.len();
-        self.records.retain(|(addr, _), _| !filter.contains(addr));
-        before - self.records.len()
+    /// Classify every record whose address is not in `exclude` (the §4.2
+    /// honeypot sanitization step), once, and collect the misconfigured
+    /// addresses per class and across classes.
+    pub fn misconfig_census(&self, exclude: &BTreeSet<Ipv4Addr>) -> MisconfigCensus {
+        let mut census = MisconfigCensus::default();
+        for r in self.records.values() {
+            if exclude.contains(&r.addr) {
+                census.excluded += 1;
+                continue;
+            }
+            let Some(class) = r.misconfig() else { continue };
+            // Records iterate in address order: a host is already listed
+            // exactly when it is the last address pushed.
+            for addrs in [census.by_class.entry(class).or_default(), &mut census.all] {
+                if addrs.last() != Some(&r.addr) {
+                    addrs.push(r.addr);
+                }
+            }
+        }
+        census
     }
 
     /// Export as JSON lines (the paper stores scan output in a database;
@@ -141,6 +154,43 @@ impl ScanResults {
         }
         Ok(results)
     }
+}
+
+/// Misconfigured addresses of one dataset, from one classification pass
+/// ([`ScanResults::misconfig_census`]).
+#[derive(Debug, Default)]
+pub struct MisconfigCensus {
+    /// Distinct addresses per class, ascending.
+    by_class: BTreeMap<Misconfig, Vec<Ipv4Addr>>,
+    /// Distinct addresses in any class, ascending (Table 5's total).
+    pub all: Vec<Ipv4Addr>,
+    /// Records skipped because their address was excluded.
+    pub excluded: usize,
+}
+
+impl MisconfigCensus {
+    /// The addresses classified into `class`, ascending.
+    pub fn addrs(&self, class: Misconfig) -> &[Ipv4Addr] {
+        self.by_class.get(&class).map_or(&[], Vec::as_slice)
+    }
+}
+
+/// Count distinct addresses per key over `(key, addr)` pairs visited in
+/// ascending address order, the order [`ScanResults::records`] iterates.
+/// A key's sightings of one host are then adjacent within that key's
+/// pairs, so comparing against the last address counted replaces a set.
+pub fn count_distinct_addrs<K: Ord>(
+    pairs: impl IntoIterator<Item = (K, Ipv4Addr)>,
+) -> BTreeMap<K, usize> {
+    let mut last: BTreeMap<K, (Option<Ipv4Addr>, usize)> = BTreeMap::new();
+    for (key, addr) in pairs {
+        let (seen, n) = last.entry(key).or_default();
+        if *seen != Some(addr) {
+            *seen = Some(addr);
+            *n += 1;
+        }
+    }
+    last.into_iter().map(|(key, (_, n))| (key, n)).collect()
 }
 
 #[cfg(test)]
@@ -173,19 +223,53 @@ mod tests {
         rs.insert(record("10.0.0.1", 23, Protocol::Telnet, "root@x:~$ "));
         rs.insert(record("10.0.0.2", 23, Protocol::Telnet, "login:"));
         rs.insert(record("10.0.0.3", 1883, Protocol::Mqtt, "MQTT Connection Code:0"));
-        assert_eq!(rs.misconfigured_addrs(Misconfig::TelnetNoAuthRoot).len(), 1);
-        assert_eq!(rs.all_misconfigured().len(), 2);
+        let census = rs.misconfig_census(&BTreeSet::new());
+        assert_eq!(census.addrs(Misconfig::TelnetNoAuthRoot).len(), 1);
+        assert_eq!(census.all.len(), 2);
+        assert_eq!(census.excluded, 0);
     }
 
     #[test]
-    fn honeypot_filter_removes_records() {
+    fn census_counts_a_host_once_across_ports() {
+        let mut rs = ScanResults::new("ZMap Scan");
+        rs.insert(record("10.0.0.1", 23, Protocol::Telnet, "$ "));
+        rs.insert(record("10.0.0.1", 2323, Protocol::Telnet, "$ "));
+        rs.insert(record("10.0.0.2", 23, Protocol::Telnet, "root@x:~$ "));
+        rs.insert(record("10.0.0.2", 2323, Protocol::Telnet, "$ "));
+        let census = rs.misconfig_census(&BTreeSet::new());
+        let a1: Ipv4Addr = "10.0.0.1".parse().unwrap();
+        let a2: Ipv4Addr = "10.0.0.2".parse().unwrap();
+        assert_eq!(census.addrs(Misconfig::TelnetNoAuth), &[a1, a2]);
+        assert_eq!(census.addrs(Misconfig::TelnetNoAuthRoot), &[a2]);
+        assert_eq!(census.all, vec![a1, a2]);
+        assert!(census.addrs(Misconfig::MqttNoAuth).is_empty());
+    }
+
+    #[test]
+    fn honeypot_filter_excludes_records() {
         let mut rs = ScanResults::new("ZMap Scan");
         rs.insert(record("10.0.0.1", 23, Protocol::Telnet, "[root@LocalHost tmp]$\r\n$ "));
         rs.insert(record("10.0.0.2", 23, Protocol::Telnet, "$ "));
         let mut filter = BTreeSet::new();
         filter.insert("10.0.0.1".parse().unwrap());
-        assert_eq!(rs.remove_addrs(&filter), 1);
-        assert_eq!(rs.all_misconfigured().len(), 1);
+        let census = rs.misconfig_census(&filter);
+        assert_eq!(census.excluded, 1);
+        assert_eq!(census.all.len(), 1);
+        assert_eq!(rs.len(), 2, "the census never mutates the dataset");
+    }
+
+    #[test]
+    fn exposed_counts_cover_every_protocol() {
+        let mut rs = ScanResults::new("ZMap Scan");
+        rs.insert(record("10.0.0.1", 23, Protocol::Telnet, "login:"));
+        rs.insert(record("10.0.0.1", 1883, Protocol::Mqtt, "x"));
+        rs.insert(record("10.0.0.1", 2323, Protocol::Telnet, "login:"));
+        rs.insert(record("10.0.0.2", 1883, Protocol::Mqtt, "x"));
+        let counts = rs.exposed_counts();
+        assert_eq!(counts[&Protocol::Telnet], 1);
+        assert_eq!(counts[&Protocol::Mqtt], 2);
+        assert_eq!(counts.get(&Protocol::Coap), None);
+        assert_eq!(rs.exposed_hosts(Protocol::Coap), 0);
     }
 
     #[test]

@@ -759,13 +759,11 @@ mod tests {
             );
         });
         assert_eq!(results.exposed_hosts(Protocol::Telnet), 3);
-        assert_eq!(
-            results.misconfigured_addrs(Misconfig::TelnetNoAuthRoot).len(),
-            1
-        );
+        let census = results.misconfig_census(&Default::default());
+        assert_eq!(census.addrs(Misconfig::TelnetNoAuthRoot).len(), 1);
         // The 2323-only device was found thanks to the extra port.
-        assert!(results
-            .misconfigured_addrs(Misconfig::TelnetNoAuth)
+        assert!(census
+            .addrs(Misconfig::TelnetNoAuth)
             .contains(&ip(16, 4, 0, 30)));
         // Device tagging works on the scan output.
         let rec = results.records.get(&(ip(16, 4, 0, 20), 23)).unwrap();

@@ -5,16 +5,32 @@
 //! Appendix Table 11, Fig. 2). Matching is case-insensitive substring search
 //! against the profile catalog.
 
+use std::sync::OnceLock;
+
 use ofh_devices::profiles::{DeviceProfile, PROFILES};
 use ofh_devices::DeviceType;
 use ofh_wire::Protocol;
+
+/// `PROFILES` identifiers in ASCII lowercase, index-aligned with the
+/// catalog; lowercased once, not on every tag.
+fn lowered_identifiers() -> &'static [String] {
+    static LOWERED: OnceLock<Vec<String>> = OnceLock::new();
+    LOWERED.get_or_init(|| {
+        PROFILES
+            .iter()
+            .map(|p| p.identifier.to_ascii_lowercase())
+            .collect()
+    })
+}
 
 /// Identify the device profile a normalized response belongs to.
 pub fn tag_device(protocol: Protocol, response_text: &str) -> Option<&'static DeviceProfile> {
     let lower = response_text.to_ascii_lowercase();
     PROFILES
         .iter()
-        .find(|p| p.protocol == protocol && lower.contains(&p.identifier.to_ascii_lowercase()))
+        .zip(lowered_identifiers())
+        .find(|(p, id)| p.protocol == protocol && lower.contains(id.as_str()))
+        .map(|(p, _)| p)
 }
 
 /// The device type, if identifiable.
@@ -60,6 +76,21 @@ mod tests {
     fn wrong_protocol_does_not_tag() {
         assert!(tag_device(Protocol::Mqtt, "192.168.0.64 login:").is_none());
         assert!(tag_device(Protocol::Xmpp, "anything at all").is_none());
+    }
+
+    #[test]
+    fn every_identifier_tags_its_profile_in_any_case() {
+        for p in PROFILES {
+            let ids = [
+                p.identifier.to_string(),
+                p.identifier.to_ascii_uppercase(),
+                p.identifier.to_ascii_lowercase(),
+            ];
+            for text in ids {
+                let tagged = tag_device(p.protocol, &format!("banner\r\n{text}\r\n"));
+                assert_eq!(tagged.map(|t| t.name), Some(p.name), "{text:?}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Property tests for the scanning layer.
 
-use ofh_scan::{classify_response, AddressPermutation};
+use std::net::Ipv4Addr;
+
+use ofh_scan::{classify_response, AddressPermutation, HostRecord, ScanResults};
 use ofh_wire::Protocol;
 use proptest::prelude::*;
 
@@ -56,5 +58,57 @@ proptest! {
             let text = format!("{prefix}{indicator}");
             prop_assert_eq!(classify_response(proto, &text), Some(expect), "{}", proto);
         }
+    }
+}
+
+/// Disjoint per-shard datasets: records keyed by a small address and port
+/// space, split by address ownership (as the sharded engine splits them),
+/// and a shuffled copy of the shard list.
+fn arb_shard_parts() -> impl Strategy<Value = (Vec<ScanResults>, Vec<ScanResults>)> {
+    (
+        prop::collection::vec(
+            (
+                0u32..256,
+                prop::sample::select(vec![23u16, 2323, 1883, 5683]),
+                prop::sample::select(Protocol::SCANNED.to_vec()),
+                "[a-z$@: ]{0,12}",
+            ),
+            0..160,
+        ),
+        1u32..9,
+        prop::collection::vec(any::<u64>(), 8),
+    )
+        .prop_map(|(rows, shards, order)| {
+            let mut parts: Vec<ScanResults> =
+                (0..shards).map(|_| ScanResults::new("ZMap Scan")).collect();
+            for (i, port, protocol, response) in rows {
+                parts[(i % shards) as usize].insert(HostRecord {
+                    addr: Ipv4Addr::from(0x0a00_0000 + i),
+                    port,
+                    protocol,
+                    raw: response.as_bytes().to_vec(),
+                    response,
+                });
+            }
+            let mut keyed: Vec<(u64, ScanResults)> =
+                order.into_iter().zip(parts.iter().cloned()).collect();
+            keyed.sort_by_key(|(k, _)| *k);
+            (parts, keyed.into_iter().map(|(_, p)| p).collect())
+        })
+}
+
+proptest! {
+    /// `merge_all` over disjoint shard datasets, in any order, equals
+    /// absorbing them one after another.
+    #[test]
+    fn merge_all_equals_sequential_absorb(shards in arb_shard_parts()) {
+        let (parts, shuffled) = shards;
+        let mut absorbed = ScanResults::new("ZMap Scan");
+        for p in parts {
+            absorbed.absorb(p);
+        }
+        let merged = ScanResults::merge_all("ZMap Scan", shuffled);
+        prop_assert_eq!(&merged.source, &absorbed.source);
+        prop_assert_eq!(&merged.records, &absorbed.records);
     }
 }

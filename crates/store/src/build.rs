@@ -10,7 +10,7 @@
 //! (timestamps, host names, worker counts) enters the file: store bytes
 //! are a pure function of (seed, shards).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use ofh_analysis::events::{AttackDataset, SourceClass};
@@ -137,15 +137,7 @@ fn build_events_table(input: &StoreInput<'_>) -> Vec<u8> {
 
     // Source classification is a property of the (honeypot, src) pair;
     // classify each pair once, exactly as Table 7 does.
-    let pairs: BTreeSet<(&'static str, Ipv4Addr)> =
-        dataset.events.iter().map(|e| (e.honeypot, e.src)).collect();
-    let classes: BTreeMap<(&'static str, Ipv4Addr), &'static str> = pairs
-        .into_iter()
-        .map(|(hp, src)| {
-            let class = dataset.classify_source(input.rdns, hp, src);
-            ((hp, src), source_class_label(class))
-        })
-        .collect();
+    let classes = dataset.classify_sources(input.rdns);
 
     let mut times: Vec<u64> = Vec::with_capacity(rows);
     let mut honeypot = DictBuilder::new();
@@ -166,7 +158,7 @@ fn build_events_table(input: &StoreInput<'_>) -> Vec<u8> {
         src_ports.push(e.src_port);
         kind.push(e.kind.name());
         attack_type.push(dataset.attack_type(e).name());
-        src_class.push(classes[&(e.honeypot, e.src)]);
+        src_class.push(source_class_label(classes[&(e.honeypot, e.src)]));
         country.push(input.geo.country_of(e.src).code());
         asns.push(asn_plus1(input.geo.asn_of(e.src)));
     }

@@ -122,7 +122,7 @@ pub fn table5(store: &StoreReader) -> Result<Table5> {
             continue;
         }
         if hp.get(file, row) {
-            // Records `remove_addrs` would drop before classification.
+            // Records the §4.2 honeypot filter skips before classification.
             honeypots_filtered += 1;
             continue;
         }

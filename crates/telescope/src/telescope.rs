@@ -1,6 +1,7 @@
 //! The telescope tap: captures observations into minute-binned FlowTuple
 //! files.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use ofh_intel::GeoDb;
@@ -68,11 +69,25 @@ impl Telescope {
             self.total += recs.len() as u64;
             let file = self.minutes.entry(minute).or_default();
             file.append(&mut recs);
-            file.sort_by(|a, b| {
-                (a.time, a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.protocol)
-                    .cmp(&(b.time, b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.protocol))
-            });
+            file.sort_by(canonical_order);
         }
+    }
+
+    /// Union per-shard captures, equal to absorbing `parts` one after
+    /// another in order: the sort is stable, so ties keep shard order
+    /// either way. Each minute file is sorted once, not once per shard.
+    pub fn merge_all(geo: GeoDb, parts: Vec<Telescope>) -> Telescope {
+        let mut merged = Telescope::new(geo);
+        for part in parts {
+            for (minute, mut recs) in part.minutes {
+                merged.total += recs.len() as u64;
+                merged.minutes.entry(minute).or_default().append(&mut recs);
+            }
+        }
+        for file in merged.minutes.values_mut() {
+            file.sort_by(canonical_order);
+        }
+        merged
     }
 
     /// Export one minute file as JSON lines (CAIDA's FlowTuple v4 is JSON).
@@ -84,6 +99,12 @@ impl Telescope {
         }
         out
     }
+}
+
+/// The canonical order of records within a minute file.
+fn canonical_order(a: &FlowTuple, b: &FlowTuple) -> Ordering {
+    (a.time, a.src_ip, a.dst_ip, a.src_port, a.dst_port, a.protocol)
+        .cmp(&(b.time, b.src_ip, b.dst_ip, b.src_port, b.dst_port, b.protocol))
 }
 
 impl FlowTap for Telescope {

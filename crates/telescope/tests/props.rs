@@ -86,3 +86,39 @@ proptest! {
         prop_assert_eq!(back, ft);
     }
 }
+
+proptest! {
+    /// `merge_all` over per-shard captures equals absorbing them one after
+    /// another, ties (repeated flows) included.
+    #[test]
+    fn merge_all_equals_sequential_absorb(
+        obs in prop::collection::vec(arb_observation(), 0..200),
+        shard_of in prop::collection::vec(0usize..5, 200),
+        repeats in prop::collection::vec(0usize..3, 200),
+    ) {
+        // Re-observing a flow with another TTL, possibly in another shard,
+        // makes records that tie on the canonical sort key but differ.
+        let shards = || {
+            let mut parts: Vec<Telescope> = (0..5).map(|_| Telescope::new(GeoDb::new())).collect();
+            for ((o, &s), &r) in obs.iter().zip(&shard_of).zip(&repeats) {
+                for k in 0..=r {
+                    let mut again = o.clone();
+                    again.ttl = o.ttl.wrapping_add(k as u8);
+                    parts[(s + k) % 5].observe(&again);
+                }
+            }
+            parts
+        };
+        let mut sequential = Telescope::new(GeoDb::new());
+        for p in shards() {
+            sequential.absorb(p);
+        }
+        let parts = shards();
+        let merged = Telescope::merge_all(GeoDb::new(), parts);
+        prop_assert_eq!(merged.total_records(), sequential.total_records());
+        prop_assert_eq!(
+            merged.records().collect::<Vec<_>>(),
+            sequential.records().collect::<Vec<_>>()
+        );
+    }
+}

@@ -105,9 +105,10 @@ fn scaled_counts_track_paper_marginals() {
         );
     }
     // Misconfigured classes survive scaling.
+    let census = results.misconfig_census(&Default::default());
     for class in Misconfig::ALL {
         assert!(
-            !results.misconfigured_addrs(class).is_empty(),
+            !census.addrs(class).is_empty(),
             "{class:?} vanished at scale {scale}"
         );
     }
