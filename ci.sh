@@ -71,8 +71,8 @@ done
 echo "==> store-smoke: columnar store determinism + query engine + latency budget"
 # The store file is a pure function of (seed, shards): paper-smoke written at
 # workers 1 and 4 must be byte-identical. Then the query CLI runs against the
-# written file, the re-rendered Table 4 must match the live study's, and a
-# 10k-query mini workload must hold a (generous) point-lookup p99 budget.
+# written file, the re-rendered Tables 4, 5 and 7 must match the live study's,
+# and a 10k-query mini workload must hold a (generous) point-lookup p99 budget.
 ./target/release/openforhire study --preset paper-smoke --workers 1 \
     --store-out "$OBS_TMP/paper_w1.store" >/dev/null
 ./target/release/openforhire study --preset paper-smoke --workers 4 \
@@ -80,11 +80,14 @@ echo "==> store-smoke: columnar store determinism + query engine + latency budge
 cmp "$OBS_TMP/paper_w1.store" "$OBS_TMP/paper_w4.store"
 echo "    paper-smoke stores byte-identical at workers 1 and 4"
 ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" info >/dev/null
-./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" table 4 \
-    > "$OBS_TMP/store_table4.txt"
-./target/release/openforhire table 4 --preset paper-smoke > "$OBS_TMP/live_table4.txt"
-cmp "$OBS_TMP/store_table4.txt" "$OBS_TMP/live_table4.txt"
-echo "    store-derived Table 4 matches the live study render"
+for TABLE in 4 5 7; do
+    ./target/release/openforhire query --store "$OBS_TMP/paper_w1.store" table "$TABLE" \
+        > "$OBS_TMP/store_table$TABLE.txt"
+    ./target/release/openforhire table "$TABLE" --preset paper-smoke \
+        > "$OBS_TMP/live_table$TABLE.txt"
+    cmp "$OBS_TMP/store_table$TABLE.txt" "$OBS_TMP/live_table$TABLE.txt"
+done
+echo "    store-derived Tables 4, 5 and 7 match the live study renders"
 BENCH_QUERY_N=10000 BENCH_QUERY_P99_BUDGET_US=5000 \
     BENCH_QUERY_OUT="$OBS_TMP/query.json" \
     cargo bench -q -p ofh-bench --bench query

@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use ofh_scan::ScanResults;
+use ofh_scan::{count_distinct_addrs, ScanResults};
 use ofh_wire::Protocol;
 use serde::Serialize;
 
@@ -48,19 +48,35 @@ pub struct Table4 {
     pub rows: Vec<Table4Row>,
 }
 
+/// Table 4's source columns, in order: the labels the three scan datasets
+/// carry.
+pub const SOURCES: [&str; 3] = ["ZMap Scan", "Project Sonar", "Shodan"];
+
 impl Table4 {
     pub fn compute(zmap: &ScanResults, sonar: &ScanResults, shodan: &ScanResults) -> Table4 {
-        let [zmap, sonar, shodan] = [zmap, sonar, shodan].map(ScanResults::exposed_counts);
-        let exposed =
-            |counts: &BTreeMap<Protocol, usize>, p| counts.get(&p).copied().unwrap_or(0) as u64;
+        // Each dataset iterates in address order, so every (column,
+        // protocol) key sees its addresses ascending.
+        let pairs = [zmap, sonar, shodan]
+            .into_iter()
+            .enumerate()
+            .flat_map(|(column, rs)| {
+                rs.records.values().map(move |r| ((column, r.protocol), r.addr))
+            });
+        Table4::from_counts(&count_distinct_addrs(pairs))
+    }
+
+    /// Build Table 4 from distinct exposed-host counts keyed by (index into
+    /// [`SOURCES`], protocol), as [`count_distinct_addrs`] returns them.
+    pub fn from_counts(exposed: &BTreeMap<(usize, Protocol), usize>) -> Table4 {
+        let cell = |column: usize, p| exposed.get(&(column, p)).copied().unwrap_or(0) as u64;
         // Table 4 is ordered ascending by the ZMap column.
         let mut rows: Vec<Table4Row> = Protocol::SCANNED
             .iter()
             .map(|&p| Table4Row {
                 protocol: p,
-                zmap: exposed(&zmap, p),
-                sonar: ofh_scan::datasets::sonar_coverage(p).map(|_| exposed(&sonar, p)),
-                shodan: exposed(&shodan, p),
+                zmap: cell(0, p),
+                sonar: ofh_scan::datasets::sonar_coverage(p).map(|_| cell(1, p)),
+                shodan: cell(2, p),
             })
             .collect();
         rows.sort_by_key(|r| r.zmap);
@@ -81,7 +97,7 @@ impl Table4 {
     pub fn render(&self) -> String {
         let mut t = Table::new(
             "Table 4: #Exposed systems on the Internet by protocol and source",
-            &["Protocol", "ZMap Scan", "Project Sonar", "Shodan"],
+            &["Protocol", SOURCES[0], SOURCES[1], SOURCES[2]],
         );
         for r in &self.rows {
             t.row(&[

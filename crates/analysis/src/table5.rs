@@ -5,7 +5,7 @@ use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 use ofh_devices::Misconfig;
-use ofh_scan::ScanResults;
+use ofh_scan::{MisconfigCensus, ScanResults};
 use serde::Serialize;
 
 use crate::render::{thousands, Table};
@@ -30,7 +30,12 @@ impl Table5 {
     /// Classify `results`, skipping `honeypot_filter` addresses (the §4.2
     /// sanitization step).
     pub fn compute(results: &ScanResults, honeypot_filter: &BTreeSet<Ipv4Addr>) -> Table5 {
-        let census = results.misconfig_census(honeypot_filter);
+        Table5::from_census(&results.misconfig_census(honeypot_filter))
+    }
+
+    /// Build Table 5 from a classified dataset: per-class and total
+    /// distinct addresses, plus the records the honeypot filter excluded.
+    pub fn from_census(census: &MisconfigCensus) -> Table5 {
         let mut rows: Vec<Table5Row> = Misconfig::ALL
             .iter()
             .map(|&class| Table5Row {

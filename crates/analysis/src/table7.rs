@@ -2,6 +2,7 @@
 //! unique-source classification.
 
 use std::collections::BTreeMap;
+use std::net::Ipv4Addr;
 
 use ofh_honeypots::HoneypotKind;
 use ofh_intel::ReverseDns;
@@ -38,9 +39,22 @@ pub struct Table7 {
 
 impl Table7 {
     pub fn compute(dataset: &AttackDataset, rdns: &ReverseDns) -> Table7 {
+        Table7::from_rows(
+            dataset.events.iter().map(|e| (e.honeypot, e.protocol)),
+            dataset.classify_sources(rdns),
+        )
+    }
+
+    /// Build Table 7 from one `(honeypot, protocol)` key per event and the
+    /// class of each `(honeypot, source)` pair. A pair may arrive more than
+    /// once (once per event, say); it counts once, under its first class.
+    pub fn from_rows(
+        events: impl IntoIterator<Item = (&'static str, Protocol)>,
+        sources: impl IntoIterator<Item = ((&'static str, Ipv4Addr), SourceClass)>,
+    ) -> Table7 {
         let mut counts: BTreeMap<(&'static str, Protocol), u64> = BTreeMap::new();
-        for e in &dataset.events {
-            *counts.entry((e.honeypot, e.protocol)).or_insert(0) += 1;
+        for key in events {
+            *counts.entry(key).or_insert(0) += 1;
         }
         let rows: Vec<Table7Row> = HoneypotKind::ALL
             .iter()
@@ -57,6 +71,10 @@ impl Table7 {
                     .collect::<Vec<_>>()
             })
             .collect();
+        let mut classes: BTreeMap<(&'static str, Ipv4Addr), SourceClass> = BTreeMap::new();
+        for (pair, class) in sources {
+            classes.entry(pair).or_insert(class);
+        }
         let mut sources: Vec<Table7Sources> = HoneypotKind::ALL
             .iter()
             .map(|hp| Table7Sources {
@@ -66,7 +84,7 @@ impl Table7 {
                 unknown: 0,
             })
             .collect();
-        for ((honeypot, _), class) in dataset.classify_sources(rdns) {
+        for ((honeypot, _), class) in classes {
             let Some(out) = sources.iter_mut().find(|s| s.honeypot == honeypot) else {
                 continue;
             };
@@ -149,7 +167,6 @@ impl Table7 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::Ipv4Addr;
     use crate::events::register_service_rdns;
     use ofh_honeypots::{AttackEvent, EventKind};
     use ofh_net::SimTime;

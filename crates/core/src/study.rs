@@ -489,8 +489,11 @@ impl Study {
         let analysis_sw = Stopwatch::start();
         let honeypot_filter = fingerprint_report.filter_set();
         let table4 = Table4::compute(&zmap_results, &sonar_results, &shodan_results);
-        let table5 = Table5::compute(&zmap_results, &honeypot_filter);
-        let misconfigured = Table5::misconfigured_addrs(&zmap_results, &honeypot_filter);
+        // Classify the ZMap dataset once: Table 5 and the §5.3 set both
+        // read this census.
+        let census = zmap_results.misconfig_census(&honeypot_filter);
+        let table5 = Table5::from_census(&census);
+        let misconfigured: std::collections::BTreeSet<Ipv4Addr> = census.all.into_iter().collect();
         let table7 = Table7::compute(&dataset, &oracles.rdns);
         let month_start_day = cfg.month_start().day_index();
         let known_scanners: std::collections::BTreeSet<Ipv4Addr> = plan

@@ -116,18 +116,8 @@ impl ScanResults {
     pub fn misconfig_census(&self, exclude: &BTreeSet<Ipv4Addr>) -> MisconfigCensus {
         let mut census = MisconfigCensus::default();
         for r in self.records.values() {
-            if exclude.contains(&r.addr) {
-                census.excluded += 1;
-                continue;
-            }
-            let Some(class) = r.misconfig() else { continue };
-            // Records iterate in address order: a host is already listed
-            // exactly when it is the last address pushed.
-            for addrs in [census.by_class.entry(class).or_default(), &mut census.all] {
-                if addrs.last() != Some(&r.addr) {
-                    addrs.push(r.addr);
-                }
-            }
+            let filtered = exclude.contains(&r.addr);
+            census.add(r.addr, filtered, if filtered { None } else { r.misconfig() });
         }
         census
     }
@@ -157,7 +147,8 @@ impl ScanResults {
 }
 
 /// Misconfigured addresses of one dataset, from one classification pass
-/// ([`ScanResults::misconfig_census`]).
+/// ([`ScanResults::misconfig_census`], or any other record stream fed
+/// through [`MisconfigCensus::add`]).
 #[derive(Debug, Default)]
 pub struct MisconfigCensus {
     /// Distinct addresses per class, ascending.
@@ -169,6 +160,24 @@ pub struct MisconfigCensus {
 }
 
 impl MisconfigCensus {
+    /// Fold one record in: a `filtered` record (the §4.2 honeypot filter)
+    /// is only counted as excluded; any other record with a `class` lists
+    /// its address under that class and in [`Self::all`]. Records must
+    /// arrive in ascending address order: a host is then already listed
+    /// exactly when it is the last address pushed.
+    pub fn add(&mut self, addr: Ipv4Addr, filtered: bool, class: Option<Misconfig>) {
+        if filtered {
+            self.excluded += 1;
+            return;
+        }
+        let Some(class) = class else { return };
+        for addrs in [self.by_class.entry(class).or_default(), &mut self.all] {
+            if addrs.last() != Some(&addr) {
+                addrs.push(addr);
+            }
+        }
+    }
+
     /// The addresses classified into `class`, ascending.
     pub fn addrs(&self, class: Misconfig) -> &[Ipv4Addr] {
         self.by_class.get(&class).map_or(&[], Vec::as_slice)

@@ -15,11 +15,13 @@ use std::net::Ipv4Addr;
 
 use ofh_analysis::events::{AttackDataset, SourceClass};
 use ofh_devices::Misconfig;
+use ofh_honeypots::HoneypotKind;
 use ofh_intel::{GeoDb, ReverseDns};
 use ofh_scan::ScanResults;
 use ofh_telescope::Telescope;
+use ofh_wire::Protocol;
 
-use crate::bytes::Writer;
+use crate::bytes::{FormatError, Result, Writer};
 use crate::column::{
     encode_bitset, encode_t64, encode_u16, encode_u32, DictBuilder, KIND_BITSET, KIND_DICT8,
     KIND_T64, KIND_U16, KIND_U32,
@@ -42,6 +44,41 @@ pub const fn source_class_label(c: SourceClass) -> &'static str {
         SourceClass::Malicious => "malicious",
         SourceClass::Unknown => "unknown",
     }
+}
+
+/// Decode a dictionary label back to the one value in `all` that encodes
+/// to it.
+fn from_label<T: Copy, L: AsRef<str>>(
+    what: &str,
+    all: &[T],
+    label_of: impl Fn(T) -> L,
+    label: &str,
+) -> Result<T> {
+    all.iter()
+        .copied()
+        .find(|&v| label_of(v).as_ref() == label)
+        .ok_or_else(|| FormatError(format!("unknown {what} label {label:?}")))
+}
+
+/// Inverse of `Protocol::name`.
+pub fn protocol_from_label(label: &str) -> Result<Protocol> {
+    from_label("protocol", &Protocol::ALL, Protocol::name, label)
+}
+
+/// Inverse of [`misconfig_label`].
+pub fn misconfig_from_label(label: &str) -> Result<Misconfig> {
+    from_label("misconfig", &Misconfig::ALL, misconfig_label, label)
+}
+
+/// Inverse of `HoneypotKind::name`, as the static name.
+pub fn honeypot_from_label(label: &str) -> Result<&'static str> {
+    from_label("honeypot", &HoneypotKind::ALL, HoneypotKind::name, label).map(HoneypotKind::name)
+}
+
+/// Inverse of [`source_class_label`].
+pub fn source_class_from_label(label: &str) -> Result<SourceClass> {
+    use SourceClass::*;
+    from_label("source class", &[ScanningService, Malicious, Unknown], source_class_label, label)
 }
 
 /// Everything the store serializes, borrowed from the finished study.

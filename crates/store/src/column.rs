@@ -33,6 +33,13 @@ fn words_for(rows: usize) -> usize {
     rows.div_ceil(64)
 }
 
+/// The byte length of `rows` fixed-width rows, or a [`FormatError`] when a
+/// corrupt row count overflows it.
+fn rows_len(rows: usize, width: usize) -> Result<usize> {
+    rows.checked_mul(width)
+        .ok_or_else(|| FormatError(format!("{rows} rows of {width} bytes overflow")))
+}
+
 // ---------------------------------------------------------------------------
 // Encoders
 // ---------------------------------------------------------------------------
@@ -179,7 +186,7 @@ impl U32View {
         let mut r = Reader::at(file, off);
         let zoned = r.u8()? != 0;
         let data_off = r.pos;
-        r.slice(rows * 4)?;
+        r.slice(rows_len(rows, 4)?)?;
         let zones = if zoned {
             let n = r.u32()? as usize;
             if n != rows.div_ceil(BLOCK_ROWS) {
@@ -252,11 +259,12 @@ pub struct U16View {
 
 impl U16View {
     pub fn parse(file: &[u8], off: usize, len: usize, rows: usize) -> Result<U16View> {
-        if len < rows * 2 {
+        let bytes = rows_len(rows, 2)?;
+        if len < bytes {
             return Err(FormatError("U16 column shorter than its row count".into()));
         }
         let mut r = Reader::at(file, off);
-        r.slice(rows * 2)?;
+        r.slice(bytes)?;
         Ok(U16View { data_off: off, rows })
     }
 
@@ -286,9 +294,13 @@ impl DictView {
         let n = r.u16()? as usize;
         let labels: Vec<String> = (0..n).map(|_| r.string()).collect::<Result<_>>()?;
         let codes_off = r.pos;
-        r.slice(rows)?;
+        // Validate every code once, here, so row reads can index the
+        // dictionary unchecked.
+        if r.slice(rows)?.iter().max().is_some_and(|&c| c as usize >= n) {
+            return Err(FormatError(format!("DICT8 code outside its {n}-label dictionary")));
+        }
         let bitmaps_off = r.pos;
-        r.slice(n * words_for(rows) * 8)?;
+        r.slice(rows_len(n, words_for(rows) * 8)?)?;
         if r.pos > off + len {
             return Err(FormatError("DICT8 column overruns its directory entry".into()));
         }
@@ -390,13 +402,15 @@ impl T64View {
     ) -> Result<()> {
         let start_row = block * BLOCK_ROWS;
         let rows_here = (self.rows - start_row).min(BLOCK_ROWS);
-        let mut r = Reader::at(file, self.data_off + self.blocks[block].off as usize);
+        let mut r = Reader::at(file, self.data_off.saturating_add(self.blocks[block].off as usize));
         let mut v = r.varint()?;
         if !f(start_row, v) {
             return Ok(());
         }
         for i in 1..rows_here {
-            v += r.varint()?;
+            v = v
+                .checked_add(r.varint()?)
+                .ok_or_else(|| FormatError("T64 delta overflows".into()))?;
             if !f(start_row + i, v) {
                 return Ok(());
             }

@@ -21,9 +21,11 @@
 //! - [`mmap`] — the read-only mapping (no external crate)
 //! - [`column`] — the five physical column encodings
 //! - [`segment`] — file layout: TOC, tables, column directories
-//! - [`build`] — study artifacts → segment bytes
+//! - [`build`] — study artifacts → segment bytes, and the label format
+//!   (enum ↔ dictionary label, both directions)
 //! - [`query`] — [`StoreReader`], [`Query`], [`QueryEngine`]
-//! - [`tables`] — Tables 4/5/7 re-derived from columns
+//! - [`tables`] — column decoders feeding the `ofh_analysis` constructors
+//!   of Tables 4/5/7
 
 pub mod build;
 pub mod bytes;

@@ -183,7 +183,7 @@ impl TableView {
         let rows = r.u64()? as usize;
         let n = r.u32()? as usize;
         let mut columns = BTreeMap::new();
-        let mut dir = Vec::with_capacity(n);
+        let mut dir = Vec::new();
         for _ in 0..n {
             let name = r.string()?;
             let kind = r.u8()?;
@@ -194,7 +194,7 @@ impl TableView {
         for (name, kind, col_off, col_len) in dir {
             let abs = off
                 .checked_add(col_off)
-                .filter(|&a| a + col_len <= off + len && a + col_len <= file.len())
+                .filter(|&a| a.checked_add(col_len).is_some_and(|end| end <= off + len))
                 .ok_or_else(|| FormatError(format!("column {name} outside its table")))?;
             let col = match kind {
                 KIND_U32 => Column::U32(U32View::parse(file, abs, col_len, rows)?),
@@ -269,7 +269,7 @@ impl SegmentView {
             return Err(FormatError(format!("unsupported store version {version}")));
         }
         let n = r.u32()? as usize;
-        let mut toc = Vec::with_capacity(n);
+        let mut toc = Vec::new();
         for _ in 0..n {
             let name = r.string()?;
             let off = r.u64()? as usize;
@@ -278,7 +278,7 @@ impl SegmentView {
         }
         let mut tables = BTreeMap::new();
         for (name, off, len) in toc {
-            if off + len > file.len() {
+            if off.checked_add(len).is_none_or(|end| end > file.len()) {
                 return Err(FormatError(format!("table {name} outside the file")));
             }
             tables.insert(name.clone(), TableView::parse(file, off, len)?);
@@ -349,6 +349,32 @@ mod tests {
     fn rejects_bad_magic() {
         assert!(SegmentView::parse(b"NOTSTORE\0\0\0\0").is_err());
         assert!(SegmentView::parse(b"").is_err());
+    }
+
+    #[test]
+    fn rejects_overflowing_extents() {
+        let mut tb = TableBuilder::new(3);
+        let mut w = Writer::new();
+        encode_u32(&mut w, &[9, 8, 7], true);
+        tb.column("x", KIND_U32, w);
+        let mut table = tb.finish();
+        // Column directory: rows u64, count u32, name "x", kind u8, offset
+        // u64, then the length this test corrupts.
+        let col_len_at = 8 + 4 + 2 + 1 + 8;
+        table[col_len_at..col_len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let mut seg = SegmentWriter::new();
+        seg.table("t", table);
+        let file = seg.finish();
+        assert!(SegmentView::parse(&file).is_err());
+
+        // TOC: magic, version u32, count u32, name "t", offset u64, then the
+        // table length.
+        let mut seg = SegmentWriter::new();
+        seg.table("t", TableBuilder::new(0).finish());
+        let mut file = seg.finish();
+        let table_len_at = 8 + 4 + 4 + 2 + 8;
+        file[table_len_at..table_len_at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        assert!(SegmentView::parse(&file).is_err());
     }
 
     #[test]

@@ -1,51 +1,49 @@
-//! Reconstruct study tables from the store.
+//! Tables 4/5/7 read back from the store.
 //!
-//! Each function re-derives one `ofh_analysis` table struct purely from
-//! stored columns, following the original `compute` row ordering step for
-//! step — `render()` on the result must be byte-identical to the report's.
-//! This is the store's ground-truth contract, enforced by the round-trip
-//! tests: if a column encoding lost information the tables need, these
-//! renders would diverge.
+//! Each table is written once, in `ofh_analysis`, as a constructor over
+//! narrow rows; the functions here only decode columns and feed those rows
+//! to the same constructors the in-memory study uses. Each decodes its
+//! dictionaries to enums once (an unknown label is a [`FormatError`]) and
+//! then reads rows by code, so store and report tables agree by
+//! construction.
+//!
+//! The one precondition the adapters check is the scan table's row order:
+//! within each source, addresses ascend, which distinct-address counting
+//! ([`count_distinct_addrs`], [`MisconfigCensus::add`]) relies on.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
-use ofh_analysis::table4::{Table4, Table4Row};
-use ofh_analysis::table5::{Table5, Table5Row};
-use ofh_analysis::table7::{Table7, Table7Row, Table7Sources};
-use ofh_devices::Misconfig;
-use ofh_honeypots::HoneypotKind;
-use ofh_wire::Protocol;
+use ofh_analysis::table4::{Table4, SOURCES};
+use ofh_analysis::table5::Table5;
+use ofh_analysis::table7::Table7;
+use ofh_scan::{count_distinct_addrs, MisconfigCensus};
 
-use crate::build::{misconfig_label, NONE_LABEL};
+use crate::build::{
+    honeypot_from_label, misconfig_from_label, protocol_from_label, source_class_from_label,
+    NONE_LABEL,
+};
 use crate::bytes::{FormatError, Result};
+use crate::column::{DictView, U32View};
 use crate::query::StoreReader;
 
-/// Decode a protocol dictionary label back to the enum.
-pub fn protocol_from_label(label: &str) -> Result<Protocol> {
-    Protocol::ALL
-        .iter()
-        .copied()
-        .find(|p| p.name() == label)
-        .ok_or_else(|| FormatError(format!("unknown protocol label {label:?}")))
+/// Decode a dictionary's labels once, so rows index a plain vector by code.
+fn decode<T>(dict: &DictView, from_label: impl Fn(&str) -> Result<T>) -> Result<Vec<T>> {
+    dict.labels.iter().map(|l| from_label(l)).collect()
 }
 
-/// Decode a misconfiguration dictionary label back to the enum.
-pub fn misconfig_from_label(label: &str) -> Result<Misconfig> {
-    Misconfig::ALL
-        .iter()
-        .copied()
-        .find(|&m| misconfig_label(m) == label)
-        .ok_or_else(|| FormatError(format!("unknown misconfig label {label:?}")))
-}
-
-/// Decode a honeypot dictionary label to its static name.
-fn honeypot_from_label(label: &str) -> Result<&'static str> {
-    HoneypotKind::ALL
-        .iter()
-        .map(|hp| hp.name())
-        .find(|&n| n == label)
-        .ok_or_else(|| FormatError(format!("unknown honeypot label {label:?}")))
+/// Check that scan rows list each source's addresses in ascending order.
+fn check_scan_order(file: &[u8], source: &DictView, addrs: &U32View) -> Result<()> {
+    let mut last = [0u32; 256];
+    for row in 0..addrs.rows() {
+        let (code, addr) = (source.code(file, row) as usize, addrs.get(file, row));
+        if addr < last[code] {
+            return Err(FormatError(format!(
+                "scan row {row}: addresses not ascending"
+            )));
+        }
+        last[code] = addr;
+    }
+    Ok(())
 }
 
 /// Table 4 — unique exposed hosts per (source, protocol).
@@ -55,41 +53,16 @@ pub fn table4(store: &StoreReader) -> Result<Table4> {
     let source = t.dict("source")?;
     let protocol = t.dict("protocol")?;
     let addrs = t.u32("addr")?;
+    check_scan_order(file, source, addrs)?;
+    let column_of = decode(source, |l| Ok(SOURCES.iter().position(|&s| s == l)))?;
+    let protocol_of = decode(protocol, protocol_from_label)?;
 
-    // Unique addresses per (source code, protocol).
-    let mut uniq: BTreeMap<(u8, Protocol), BTreeSet<u32>> = BTreeMap::new();
-    let proto_of: Vec<Protocol> = protocol
-        .labels
-        .iter()
-        .map(|l| protocol_from_label(l))
-        .collect::<Result<_>>()?;
-    for row in 0..t.rows {
-        let key = (source.code(file, row), proto_of[protocol.code(file, row) as usize]);
-        uniq.entry(key).or_default().insert(addrs.get(file, row));
-    }
-    let count = |src: &str, p: Protocol| -> u64 {
-        source
-            .code_of(src)
-            .and_then(|c| uniq.get(&(c, p)))
-            .map(|s| s.len() as u64)
-            .unwrap_or(0)
-    };
-
-    let mut rows: Vec<Table4Row> = Protocol::SCANNED
-        .iter()
-        .map(|&p| Table4Row {
-            protocol: p,
-            zmap: count("ZMap Scan", p),
-            sonar: if ofh_scan::datasets::sonar_coverage(p).is_some() {
-                Some(count("Project Sonar", p))
-            } else {
-                None
-            },
-            shodan: count("Shodan", p),
-        })
-        .collect();
-    rows.sort_by_key(|r| r.zmap);
-    Ok(Table4 { rows })
+    let pairs = (0..t.rows).filter_map(|row| {
+        let column = column_of[source.code(file, row) as usize]?;
+        let p = protocol_of[protocol.code(file, row) as usize];
+        Some(((column, p), Ipv4Addr::from(addrs.get(file, row))))
+    });
+    Ok(Table4::from_counts(&count_distinct_addrs(pairs)))
 }
 
 /// Table 5 — misconfigured ZMap devices per class, honeypot rows filtered.
@@ -99,57 +72,26 @@ pub fn table5(store: &StoreReader) -> Result<Table5> {
     let source = t.dict("source")?;
     let misconfig = t.dict("misconfig")?;
     let addrs = t.u32("addr")?;
-    let hp = t.bitset("hp_filtered")?;
+    let filtered = t.bitset("hp_filtered")?;
+    check_scan_order(file, source, addrs)?;
+    let class_of = decode(misconfig, |l| {
+        (l != NONE_LABEL).then(|| misconfig_from_label(l)).transpose()
+    })?;
 
-    let zmap_code = source.code_of("ZMap Scan");
-    let class_of: Vec<Option<Misconfig>> = misconfig
-        .labels
-        .iter()
-        .map(|l| {
-            if l == NONE_LABEL {
-                Ok(None)
-            } else {
-                misconfig_from_label(l).map(Some)
-            }
-        })
-        .collect::<Result<_>>()?;
-
-    let mut per_class: BTreeMap<Misconfig, BTreeSet<u32>> = BTreeMap::new();
-    let mut any: BTreeSet<u32> = BTreeSet::new();
-    let mut honeypots_filtered = 0usize;
-    for row in 0..t.rows {
-        if Some(source.code(file, row)) != zmap_code {
-            continue;
-        }
-        if hp.get(file, row) {
-            // Records the §4.2 honeypot filter skips before classification.
-            honeypots_filtered += 1;
-            continue;
-        }
-        if let Some(class) = class_of[misconfig.code(file, row) as usize] {
-            let addr = addrs.get(file, row);
-            per_class.entry(class).or_default().insert(addr);
-            any.insert(addr);
-        }
+    let zmap = source.code_of(SOURCES[0]);
+    let mut census = MisconfigCensus::default();
+    for row in (0..t.rows).filter(|&row| Some(source.code(file, row)) == zmap) {
+        census.add(
+            Ipv4Addr::from(addrs.get(file, row)),
+            filtered.get(file, row),
+            class_of[misconfig.code(file, row) as usize],
+        );
     }
-
-    let mut rows: Vec<Table5Row> = Misconfig::ALL
-        .iter()
-        .map(|&class| Table5Row {
-            class,
-            devices: per_class.get(&class).map(|s| s.len() as u64).unwrap_or(0),
-        })
-        .collect();
-    rows.sort_by_key(|r| r.devices);
-    Ok(Table5 {
-        rows,
-        total: any.len() as u64,
-        honeypots_filtered,
-    })
+    Ok(Table5::from_census(&census))
 }
 
 /// Table 7 — events per (honeypot, protocol) plus per-honeypot unique
-/// source splits, re-read from the stored `src_class` column.
+/// source splits, read from the stored `src_class` column.
 pub fn table7(store: &StoreReader) -> Result<Table7> {
     let file = store.bytes();
     let t = store.table("events")?;
@@ -157,72 +99,21 @@ pub fn table7(store: &StoreReader) -> Result<Table7> {
     let protocol = t.dict("protocol")?;
     let srcs = t.u32("src")?;
     let src_class = t.dict("src_class")?;
+    let honeypot_of = decode(honeypot, honeypot_from_label)?;
+    let protocol_of = decode(protocol, protocol_from_label)?;
+    let class_of = decode(src_class, source_class_from_label)?;
 
-    let hp_of: Vec<&'static str> = honeypot
-        .labels
-        .iter()
-        .map(|l| honeypot_from_label(l))
-        .collect::<Result<_>>()?;
-    let proto_of: Vec<Protocol> = protocol
-        .labels
-        .iter()
-        .map(|l| protocol_from_label(l))
-        .collect::<Result<_>>()?;
-
-    let mut counts: BTreeMap<(&'static str, Protocol), u64> = BTreeMap::new();
-    let mut seen: BTreeMap<&'static str, BTreeMap<Ipv4Addr, u8>> = BTreeMap::new();
-    for row in 0..t.rows {
-        let hp = hp_of[honeypot.code(file, row) as usize];
-        let p = proto_of[protocol.code(file, row) as usize];
-        *counts.entry((hp, p)).or_insert(0) += 1;
-        // Classification is constant per (honeypot, src); first row wins.
-        seen.entry(hp)
-            .or_default()
-            .entry(Ipv4Addr::from(srcs.get(file, row)))
-            .or_insert_with(|| src_class.code(file, row));
-    }
-
-    let rows: Vec<Table7Row> = HoneypotKind::ALL
-        .iter()
-        .flat_map(|hp| {
-            let name = hp.name();
-            counts
-                .iter()
-                .filter(move |((h, _), _)| *h == name)
-                .map(|(&(h, p), &n)| Table7Row {
-                    honeypot: h,
-                    protocol: p,
-                    events: n,
-                })
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let sources: Vec<Table7Sources> = HoneypotKind::ALL
-        .iter()
-        .map(|hp| {
-            let name = hp.name();
-            let mut out = Table7Sources {
-                honeypot: name,
-                scanning: 0,
-                malicious: 0,
-                unknown: 0,
-            };
-            if let Some(set) = seen.get(name) {
-                for &code in set.values() {
-                    match src_class.labels[code as usize].as_str() {
-                        "scanning_service" => out.scanning += 1,
-                        "malicious" => out.malicious += 1,
-                        _ => out.unknown += 1,
-                    }
-                }
-            }
-            out
-        })
-        .collect();
-    let total_events = rows.iter().map(|r| r.events).sum();
-    Ok(Table7 {
-        rows,
-        sources,
-        total_events,
-    })
+    let honeypot_at = |row| honeypot_of[honeypot.code(file, row) as usize];
+    Ok(Table7::from_rows(
+        (0..t.rows).map(|row| {
+            (
+                honeypot_at(row),
+                protocol_of[protocol.code(file, row) as usize],
+            )
+        }),
+        (0..t.rows).map(|row| {
+            let pair = (honeypot_at(row), Ipv4Addr::from(srcs.get(file, row)));
+            (pair, class_of[src_class.code(file, row) as usize])
+        }),
+    ))
 }

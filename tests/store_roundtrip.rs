@@ -1,15 +1,16 @@
 //! Store round-trip property: the columnar store is a lossless carrier of
 //! the study's published aggregates. For random seeds, Tables 4, 5 and 7
 //! recomputed *from the store file* must render byte-identically to the
-//! in-memory `StudyReport` ones, and indexed counts must agree with direct
-//! tallies over the in-memory artifacts.
+//! in-memory `StudyReport` ones and serialize to the same JSON (which also
+//! covers fields `render()` hides), and indexed counts must agree with
+//! direct tallies over the in-memory artifacts.
 //!
 //! (Column-codec round-trip properties live in
 //! `crates/store/tests/roundtrip.rs`; this file covers the end the paper
 //! cares about — the aggregates.)
 
 use ofh_core::{Study, StudyConfig, StudyReport};
-use ofh_store::{Answer, Query, StoreReader};
+use ofh_store::{tables, Answer, Query, StoreReader};
 
 fn run_quick(seed: u64) -> (StudyReport, StoreReader) {
     let report = Study::new(StudyConfig::quick(seed)).run();
@@ -22,6 +23,10 @@ fn rendered(reader: &StoreReader, q: Query) -> String {
         Answer::Rendered(s) => s,
         other => panic!("expected rendered text, got {other:?}"),
     }
+}
+
+fn json<T: serde::Serialize>(v: &T) -> String {
+    serde_json::to_string(v).expect("serializes")
 }
 
 fn count(reader: &StoreReader, q: Query) -> u64 {
