@@ -9,6 +9,11 @@ cd "$(dirname "$0")"
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> cargo check perfbench (its own workspace, so the build above skips it)"
+# perfbench is what BENCHMARK.json runs; it calls library APIs directly, so
+# an API change that breaks it must fail here rather than in the benchmark.
+cargo check --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test -q (workspace)"
 cargo test --workspace -q
 

@@ -4,120 +4,13 @@
 //! broken by insertion order, which keeps the simulation deterministic without
 //! requiring every producer to pick unique timestamps.
 //!
-//! Since the paper-scale rework the queue is backed by a hierarchical timer
-//! wheel ([`crate::wheel::TimerWheel`]) — `O(1)` schedule, near-`O(1)` pop —
-//! instead of a binary heap. The heap survives as [`HeapQueue`], the oracle
-//! the differential property suite (`tests/wheel_props.rs`) checks the wheel
-//! against, and as the ablation baseline in the `hotpath` bench.
+//! The queue is backed by a hierarchical timer wheel
+//! ([`crate::wheel::TimerWheel`]) — `O(1)` schedule, near-`O(1)` pop. The
+//! differential property suite (`tests/wheel_props.rs`) checks the wheel's
+//! pop order against a `std` binary heap keyed by `(time, seq)`.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-use crate::fasthash::FastSet;
 use crate::time::SimTime;
 use crate::wheel::TimerWheel;
-
-/// A scheduled event carrying a payload of type `E`.
-#[derive(Debug)]
-struct Scheduled<E> {
-    at: u64,
-    seq: u64,
-    payload: E,
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse order: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// The retained binary-heap priority queue: the differential-testing oracle
-/// for [`TimerWheel`] and the bench baseline it is measured against.
-///
-/// Same contract as the wheel: items ordered by `(tick, seq)`, caller-
-/// assigned unique seqs, `cancel` by seq of a still-pending item.
-#[derive(Debug)]
-pub struct HeapQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    cancelled: FastSet<u64>,
-    len: usize,
-}
-
-impl<E> Default for HeapQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapQueue<E> {
-    pub fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            cancelled: FastSet::default(),
-            len: 0,
-        }
-    }
-
-    pub fn insert(&mut self, tick: u64, seq: u64, payload: E) {
-        self.heap.push(Scheduled { at: tick, seq, payload });
-        self.len += 1;
-    }
-
-    /// Cancel a pending item by seq (same lazy-tombstone contract as the
-    /// wheel: the item must be scheduled and not yet popped or cancelled).
-    pub fn cancel(&mut self, seq: u64) {
-        if self.cancelled.insert(seq) {
-            self.len -= 1;
-        }
-    }
-
-    pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        loop {
-            let ev = self.heap.pop()?;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&ev.seq) {
-                continue;
-            }
-            self.len -= 1;
-            return Some((ev.at, ev.seq, ev.payload));
-        }
-    }
-
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
-        loop {
-            let ev = self.heap.peek()?;
-            if !self.cancelled.is_empty() && self.cancelled.contains(&ev.seq) {
-                let ev = self.heap.pop().expect("peeked");
-                self.cancelled.remove(&ev.seq);
-                continue;
-            }
-            return Some((ev.at, ev.seq));
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
 
 /// A deterministic earliest-first event queue, backed by a hierarchical
 /// timer wheel.
@@ -128,7 +21,7 @@ impl<E> HeapQueue<E> {
 /// clamped so time never runs backwards. The observable pop sequence is the
 /// exact global `(time, seq)` order — byte-identical to the binary-heap
 /// implementation it replaced, which `tests/wheel_props.rs` proves by
-/// differential testing against [`HeapQueue`].
+/// differential testing against `std`'s `BinaryHeap`.
 #[derive(Debug)]
 pub struct EventQueue<E> {
     wheel: TimerWheel<E>,
@@ -164,20 +57,12 @@ impl<E> EventQueue<E> {
     }
 
     /// Schedule `payload` at absolute time `at`. Events scheduled in the past
-    /// are clamped to `now` (they run next, in scheduling order). Returns the
-    /// event's sequence number, usable with [`Self::cancel`].
-    pub fn schedule(&mut self, at: SimTime, payload: E) -> u64 {
+    /// are clamped to `now` (they run next, in scheduling order).
+    pub fn schedule(&mut self, at: SimTime, payload: E) {
         let at = at.max(self.now);
         let seq = self.next_seq;
         self.next_seq += 1;
         self.wheel.insert(at.0, seq, payload);
-        seq
-    }
-
-    /// Cancel a scheduled event by the seq [`Self::schedule`] returned. The
-    /// event must still be pending (not popped, not already cancelled).
-    pub fn cancel(&mut self, seq: u64) {
-        self.wheel.cancel(seq);
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -198,9 +83,8 @@ impl<E> EventQueue<E> {
         self.pop()
     }
 
-    /// Timestamp of the next event without popping it. `&mut` because the
-    /// wheel prunes cancelled items while locating the minimum.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Timestamp of the next event without popping it.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.wheel.peek().map(|(tick, _)| SimTime(tick))
     }
 
@@ -270,18 +154,6 @@ mod tests {
         let mut q: EventQueue<()> = EventQueue::new();
         q.advance_to(SimTime(10));
         q.advance_to(SimTime(5));
-    }
-
-    #[test]
-    fn cancel_skips_event() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(10), "a");
-        let doomed = q.schedule(SimTime(20), "b");
-        q.schedule(SimTime(30), "c");
-        q.cancel(doomed);
-        assert_eq!(q.len(), 2);
-        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, ["a", "c"]);
     }
 
     #[test]

@@ -46,13 +46,10 @@
 //!   viable over a 61-day simulation.
 //!
 //! The differential property test (`tests/wheel_props.rs`) drives this wheel
-//! and the retained binary-heap oracle ([`crate::event::HeapQueue`]) with
-//! identical schedule/cancel/pop interleavings and requires identical pop
-//! sequences.
+//! and a `std` binary heap keyed by `(tick, seq)` with identical
+//! schedule/pop interleavings and requires identical pop sequences.
 
 use std::mem::MaybeUninit;
-
-use crate::fasthash::FastSet;
 
 /// Bits consumed by the innermost level: 256 one-tick slots, so schedules up
 /// to ~a quarter second of sim time ahead never cascade.
@@ -81,7 +78,7 @@ pub struct TimerWheel<E> {
     /// beyond the slot's inline first item in `l0_first`.
     slots: Vec<Vec<(u64, u64, E)>>,
     /// Inline first item of each level-0 slot. Occupied iff the slot's
-    /// `occ0` bit is set; always the slot's lowest-seq live item (pushes are
+    /// `occ0` bit is set; always the slot's lowest-seq item (pushes are
     /// seq-monotone between drains, and a cascade batch — itself seq-sorted
     /// — only lands in an empty window). The single-item slot, by far the
     /// common case, thus costs one contiguous-array touch instead of a Vec
@@ -100,9 +97,7 @@ pub struct TimerWheel<E> {
     ready: Vec<(u64, E)>,
     /// Expiry tick of everything in `ready`.
     ready_tick: u64,
-    /// Tombstones for [`Self::cancel`]; consumed lazily as items surface.
-    cancelled: FastSet<u64>,
-    /// Live (non-cancelled, un-popped) item count.
+    /// Pending (un-popped) item count.
     len: usize,
 }
 
@@ -163,7 +158,6 @@ impl<E> TimerWheel<E> {
             base: 0,
             ready: Vec::new(),
             ready_tick: 0,
-            cancelled: FastSet::default(),
             len: 0,
         }
     }
@@ -196,27 +190,11 @@ impl<E> TimerWheel<E> {
         self.len += 1;
     }
 
-    /// Cancel a pending item by its `seq`. The item must still be pending
-    /// (scheduled, not yet popped or cancelled); the tombstone is consumed
-    /// lazily when the item would surface.
-    pub fn cancel(&mut self, seq: u64) {
-        if self.cancelled.insert(seq) {
-            self.len -= 1;
-        }
-    }
-
     /// Pop the earliest `(tick, seq, payload)`.
     pub fn pop(&mut self) -> Option<(u64, u64, E)> {
-        // Hot path: with no tombstones outstanding, the current tick's
-        // drained items pop straight off the back of `ready` — one branch,
-        // one Vec pop.
-        if self.cancelled.is_empty() {
-            if let Some((seq, payload)) = self.ready.pop() {
-                self.len -= 1;
-                return Some((self.ready_tick, seq, payload));
-            }
-        } else if self.skim_ready() {
-            let (seq, payload) = self.ready.pop().expect("skim_ready");
+        // Hot path: the current tick's drained items pop straight off the
+        // back of `ready` — one branch, one Vec pop.
+        if let Some((seq, payload)) = self.ready.pop() {
             self.len -= 1;
             return Some((self.ready_tick, seq, payload));
         }
@@ -225,24 +203,21 @@ impl<E> TimerWheel<E> {
         // is occupied and that slot holds a single item, pop it directly —
         // no trip through `ready`. This is the common case (most simulation
         // ticks carry one event).
-        while let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
+        if let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
             // SAFETY: `first_occ0` returns `< L0_SLOTS <= slots.len()`.
-            if !unsafe { self.slots.get_unchecked(slot) }.is_empty() {
-                break; // overflowed slot: take the general drain path
+            if unsafe { self.slots.get_unchecked(slot) }.is_empty() {
+                // SAFETY: `slot < L0_SLOTS` = the cell array's length; the
+                // slot's occ0 bit is set, so its inline cell is initialized,
+                // and the bit is cleared before any other read.
+                let (tick, seq, payload) =
+                    unsafe { self.l0_first.get_unchecked(slot).assume_init_read() };
+                self.occ0[slot >> 6] &= !(1u64 << (slot & 63));
+                debug_assert!(tick >= self.base);
+                self.base = tick;
+                self.len -= 1;
+                return Some((tick, seq, payload));
             }
-            // SAFETY: `slot < L0_SLOTS` = the cell array's length; the
-            // slot's occ0 bit is set, so its inline cell is initialized,
-            // and the bit is cleared before any other read.
-            let (tick, seq, payload) =
-                unsafe { self.l0_first.get_unchecked(slot).assume_init_read() };
-            self.occ0[slot >> 6] &= !(1u64 << (slot & 63));
-            debug_assert!(tick >= self.base);
-            self.base = tick;
-            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                continue; // tombstone consumed; the next slot may qualify too
-            }
-            self.len -= 1;
-            return Some((tick, seq, payload));
+            // Overflowed slot: take the general drain path.
         }
         if !self.ensure_ready() {
             return None;
@@ -260,61 +235,24 @@ impl<E> TimerWheel<E> {
     /// events, and every insert requires `tick >= base`). Instead the
     /// candidate slot — lowest occupied slot of the lowest occupied level,
     /// which the placement invariant guarantees contains the global minimum
-    /// — is scanned for its earliest `(tick, seq)`. Tombstoned items are
-    /// pruned along the way so the answer matches what [`Self::pop`] would
-    /// return.
-    pub fn peek(&mut self) -> Option<(u64, u64)> {
-        if self.skim_ready() {
-            let &(seq, _) = self.ready.last().expect("skim_ready");
+    /// — is scanned for its earliest `(tick, seq)`.
+    pub fn peek(&self) -> Option<(u64, u64)> {
+        if let Some(&(seq, _)) = self.ready.last() {
             return Some((self.ready_tick, seq));
         }
-        loop {
-            if let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
-                // The inline cell holds the slot's lowest seq, which by the
-                // placement invariant is the global minimum.
-                // SAFETY: the occ0 bit is set, so the cell is initialized.
-                let &(tick, seq, _) = unsafe { self.l0_first[slot].assume_init_ref() };
-                if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                    // SAFETY: same cell; dropped exactly once, then either
-                    // re-written from the overflow or its bit cleared.
-                    unsafe { self.l0_first[slot].assume_init_drop() };
-                    let cancelled = &mut self.cancelled;
-                    self.slots[slot].retain(|&(_, s, _)| !cancelled.remove(&s));
-                    if self.slots[slot].is_empty() {
-                        self.occ0[slot >> 6] &= !(1u64 << (slot & 63));
-                    } else {
-                        // Promote the lowest-seq survivor into the cell.
-                        let mi = self.slots[slot]
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|&(_, &(_, s, _))| s)
-                            .map(|(i, _)| i)
-                            .expect("slot non-empty");
-                        let item = self.slots[slot].remove(mi);
-                        self.l0_first[slot].write(item);
-                    }
-                    continue;
-                }
-                return Some((tick, seq));
-            }
-            let l = (0..UPPER_LEVELS).find(|&l| self.occ_hi[l] != 0)?;
-            let s = self.occ_hi[l].trailing_zeros() as usize;
-            let idx = L0_SLOTS + l * SLOTS + s;
-            if !self.cancelled.is_empty() {
-                let cancelled = &mut self.cancelled;
-                self.slots[idx].retain(|&(_, seq, _)| !cancelled.remove(&seq));
-            }
-            if self.slots[idx].is_empty() {
-                self.occ_hi[l] &= !(1u64 << s);
-                continue;
-            }
-            let best = self.slots[idx]
-                .iter()
-                .map(|&(tick, seq, _)| (tick, seq))
-                .min()
-                .expect("slot non-empty");
-            return Some(best);
+        if let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
+            // The inline cell holds the slot's lowest seq, which by the
+            // placement invariant is the global minimum.
+            // SAFETY: the occ0 bit is set, so the cell is initialized.
+            let &(tick, seq, _) = unsafe { self.l0_first[slot].assume_init_ref() };
+            return Some((tick, seq));
         }
+        let l = (0..UPPER_LEVELS).find(|&l| self.occ_hi[l] != 0)?;
+        let s = self.occ_hi[l].trailing_zeros() as usize;
+        self.slots[L0_SLOTS + l * SLOTS + s]
+            .iter()
+            .map(|&(tick, seq, _)| (tick, seq))
+            .min()
     }
 
     pub fn len(&self) -> usize {
@@ -325,18 +263,16 @@ impl<E> TimerWheel<E> {
         self.len == 0
     }
 
-    /// Make `ready` hold the earliest pending tick's items (next-to-pop end
-    /// non-cancelled). Returns `false` iff nothing is pending.
+    /// Fill the empty `ready` with the earliest pending tick's items.
+    /// Returns `false` iff nothing is pending.
     ///
     /// The search exploits the placement invariant: every occupied slot at
     /// level `l` agrees with `base` above its group and exceeds `base`'s
     /// group at `l` (level 0 may equal it), so the globally earliest item is
     /// always in the lowest occupied level's lowest occupied slot.
     fn ensure_ready(&mut self) -> bool {
+        debug_assert!(self.ready.is_empty());
         loop {
-            if self.skim_ready() {
-                return true;
-            }
             if let Some(slot) = first_occ0(&self.occ0, (self.base as usize & (L0_SLOTS - 1)) >> 6) {
                 // All items in a level-0 slot share one tick; drain it in
                 // place (disjoint field borrows: `ready` vs `slots`), so the
@@ -365,7 +301,7 @@ impl<E> TimerWheel<E> {
                 self.ready
                     .extend(overflow.drain(..).rev().map(|(_, seq, p)| (seq, p)));
                 self.ready.push((seq, payload));
-                continue;
+                return true;
             }
             let Some(l) = (0..UPPER_LEVELS).find(|&l| self.occ_hi[l] != 0) else {
                 return false;
@@ -416,19 +352,6 @@ impl<E> TimerWheel<E> {
                 }
             }
         }
-    }
-
-    /// Drop tombstoned items off the back of `ready` (the next-to-pop end);
-    /// `true` iff a live item remains.
-    fn skim_ready(&mut self) -> bool {
-        while let Some(&(seq, _)) = self.ready.last() {
-            if !self.cancelled.is_empty() && self.cancelled.remove(&seq) {
-                self.ready.pop();
-            } else {
-                return true;
-            }
-        }
-        false
     }
 }
 
@@ -493,17 +416,6 @@ mod tests {
         assert_eq!(w.pop(), Some((5, 1, "second")));
         assert_eq!(w.pop(), Some((5, 2, "third")));
         assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn cancel_removes_item() {
-        let mut w = TimerWheel::new();
-        w.insert(10, 0, "keep");
-        w.insert(10, 1, "drop");
-        w.insert(20, 2, "keep2");
-        w.cancel(1);
-        assert_eq!(w.len(), 2);
-        assert_eq!(drain(&mut w), vec![(10, 0, "keep"), (20, 2, "keep2")]);
     }
 
     #[test]

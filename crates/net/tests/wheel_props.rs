@@ -1,15 +1,18 @@
-//! Differential property tests: the hierarchical timer wheel against the
-//! retained binary-heap oracle.
+//! Differential property tests: the hierarchical timer wheel against a
+//! `std` binary heap.
 //!
 //! The simulator's determinism contract is that events pop in exact global
 //! `(time, shard, seq)` order — each shard owns an independent queue, so
 //! within a queue the contract is `(time, seq)`. The heap implements that
 //! order by comparison; the wheel by bucketing and cascading. These tests
-//! drive both with identical schedule/cancel/pop interleavings (including
+//! drive both with identical schedule/pop interleavings (including
 //! same-tick ties and far-future timers that cross every wheel level) and
 //! require bit-identical pop sequences.
 
-use ofh_net::{HeapQueue, TimerWheel};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use ofh_net::TimerWheel;
 use proptest::prelude::*;
 
 /// One step of an interleaving. Payload is the seq itself so a mismatch in
@@ -19,8 +22,6 @@ enum Op {
     /// Schedule at `last popped tick + delta` (deltas of 0 create ties;
     /// huge deltas cross wheel levels).
     Schedule { delta: u64 },
-    /// Cancel the pending event at index `pick % pending.len()`, if any.
-    Cancel { pick: usize },
     /// Pop once from both queues and compare.
     Pop,
 }
@@ -28,7 +29,6 @@ enum Op {
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
         4 => delta_strategy().prop_map(|delta| Op::Schedule { delta }),
-        1 => any::<usize>().prop_map(|pick| Op::Cancel { pick }),
         3 => Just(Op::Pop),
     ]
 }
@@ -47,14 +47,28 @@ fn delta_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
+/// The oracle: a min-heap of `(tick, seq, payload)`, which pops in exactly
+/// the `(tick, seq)` order the wheel promises.
+#[derive(Default)]
+struct Heap(BinaryHeap<Reverse<(u64, u64, u64)>>);
+
+impl Heap {
+    fn pop(&mut self) -> Option<(u64, u64, u64)> {
+        self.0.pop().map(|Reverse(item)| item)
+    }
+
+    fn peek(&self) -> Option<(u64, u64)> {
+        self.0.peek().map(|&Reverse((tick, seq, _))| (tick, seq))
+    }
+}
+
 /// Run one interleaving against both queues, checking every pop and the
 /// final drain agree exactly.
 fn differential(ops: Vec<Op>) {
     let mut wheel: TimerWheel<u64> = TimerWheel::new();
-    let mut heap: HeapQueue<u64> = HeapQueue::new();
+    let mut heap = Heap::default();
     let mut next_seq = 0u64;
     let mut clock = 0u64; // last popped tick: schedules clamp here, like EventQueue
-    let mut pending: Vec<(u64, u64)> = Vec::new(); // (seq, tick) live in both queues
 
     for op in ops {
         match op {
@@ -63,16 +77,7 @@ fn differential(ops: Vec<Op>) {
                 let seq = next_seq;
                 next_seq += 1;
                 wheel.insert(tick, seq, seq);
-                heap.insert(tick, seq, seq);
-                pending.push((seq, tick));
-            }
-            Op::Cancel { pick } => {
-                if pending.is_empty() {
-                    continue;
-                }
-                let (seq, _) = pending.swap_remove(pick % pending.len());
-                wheel.cancel(seq);
-                heap.cancel(seq);
+                heap.0.push(Reverse((tick, seq, seq)));
             }
             Op::Pop => {
                 prop_assert_eq!(wheel.peek(), heap.peek(), "peek diverged");
@@ -82,11 +87,10 @@ fn differential(ops: Vec<Op>) {
                     prop_assert_eq!(seq, payload);
                     prop_assert!(tick >= clock, "time ran backwards");
                     clock = tick;
-                    pending.retain(|&(s, _)| s != seq);
                 }
             }
         }
-        prop_assert_eq!(wheel.len(), heap.len(), "len diverged");
+        prop_assert_eq!(wheel.len(), heap.0.len(), "len diverged");
     }
     // Drain both to the end: the tail order must agree too.
     loop {
@@ -96,13 +100,13 @@ fn differential(ops: Vec<Op>) {
             break;
         }
     }
-    prop_assert!(wheel.is_empty() && heap.is_empty());
+    prop_assert!(wheel.is_empty() && heap.0.is_empty());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Arbitrary schedule/cancel/pop interleavings pop identically.
+    /// Arbitrary schedule/pop interleavings pop identically.
     #[test]
     fn wheel_matches_heap_oracle(ops in prop::collection::vec(op_strategy(), 0..400)) {
         differential(ops);

@@ -5,7 +5,7 @@
 //! The split is the determinism contract made explicit: everything outside
 //! [`MetricsSnapshot::host`] is a pure function of `(seed, config)` —
 //! byte-identical across worker counts and across repeated runs. The `host`
-//! section (wall-clock profile, payload-pool statistics, worker count)
+//! section (wall-clock profile, steals, latency, worker count)
 //! depends on the machine and the scheduler; [`MetricsSnapshot::zero_wall_clock`]
 //! blanks it so tests can compare the remainder byte-for-byte.
 
@@ -22,6 +22,10 @@ use crate::profile::ProfileNode;
 /// v2: deterministic section gains `preset`; the volatile host section
 /// gains `steals` (work-stealing count — scheduler-timing dependent) and
 /// `latency` (wall-clock query-latency histograms from the QueryEngine).
+/// The host section later dropped `pool_hits`/`pool_misses` (there is no
+/// payload pool any more) without a bump: the deterministic sections are
+/// unchanged and unknown keys are ignored on load, so older v2 snapshots
+/// that still carry them parse and diff cleanly.
 pub const SCHEMA_VERSION: u32 = 2;
 
 /// Serializable summary of one histogram.
@@ -66,10 +70,6 @@ impl HistogramSnapshot {
 pub struct HostStats {
     /// Resolved worker-thread count of the run.
     pub workers: u64,
-    /// Payload buffer pool hits across the process (see `ofh_net::Payload`).
-    pub pool_hits: u64,
-    /// Payload buffer pool misses.
-    pub pool_misses: u64,
     /// Shards executed by work-stealing rather than their home worker.
     /// Depends on scheduler timing, hence volatile.
     pub steals: u64,
@@ -140,16 +140,22 @@ impl MetricsSnapshot {
     }
 
     /// Blank every machine-dependent field (the whole `host` section),
-    /// keeping structure: profile node names survive, durations and pool
-    /// statistics go to zero. After this, two runs of the same seed must
+    /// keeping structure: profile node names survive, durations and counts
+    /// go to zero. After this, two runs of the same seed must
     /// serialize byte-identically regardless of worker count.
     pub fn zero_wall_clock(&mut self) {
         self.host.workers = 0;
-        self.host.pool_hits = 0;
-        self.host.pool_misses = 0;
         self.host.steals = 0;
         self.host.profile.zero_wall_clock();
         self.host.latency.clear();
+    }
+
+    /// Parse and validate a serialized snapshot (what `obsdiff` loads).
+    /// Malformed or inconsistent input is an `Err`, never a panic.
+    pub fn from_json(text: &str) -> Result<MetricsSnapshot, String> {
+        let snap: MetricsSnapshot = serde_json::from_str(text).map_err(|e| e.to_string())?;
+        snap.validate()?;
+        Ok(snap)
     }
 
     /// Check this snapshot against the schema this build understands.
@@ -172,7 +178,11 @@ impl MetricsSnapshot {
             ));
         }
         for (name, h) in &self.histograms {
-            let bucket_total: u64 = h.buckets.iter().map(|&(_, n)| n).sum();
+            let bucket_total = h
+                .buckets
+                .iter()
+                .try_fold(0u64, |acc, &(_, n)| acc.checked_add(n))
+                .ok_or_else(|| format!("histogram {name}: bucket counts overflow u64"))?;
             if bucket_total != h.count {
                 return Err(format!(
                     "histogram {name}: bucket counts sum to {bucket_total}, count is {}",
@@ -263,7 +273,6 @@ mod tests {
         }
         let mut snap = MetricsSnapshot::from_registry(7, 16, "quick", &reg, vec![1; 16]);
         snap.host.workers = 8;
-        snap.host.pool_hits = 999;
         snap.host.steals = 3;
         snap.host.profile = ProfileNode::leaf("study", std::time::Duration::from_millis(3));
         let mut lat = Histogram::default();
@@ -301,11 +310,33 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_overflowing_bucket_counts() {
+        let mut snap = sample_snapshot();
+        let h = snap.histograms.get_mut("net.udp_bytes").unwrap();
+        h.buckets[0].1 = u64::MAX;
+        assert!(snap.validate().unwrap_err().contains("overflow"));
+    }
+
+    #[test]
+    fn legacy_pool_keys_still_load() {
+        // Snapshots written while the payload pool existed carry two extra
+        // host keys; they are ignored, and everything else round-trips.
+        let snap = sample_snapshot();
+        let json = serde_json::to_string(&snap).unwrap();
+        let legacy = json.replacen(
+            "\"host\":{\"workers\":8,",
+            "\"host\":{\"workers\":8,\"pool_hits\":999,\"pool_misses\":174404,",
+            1,
+        );
+        assert_ne!(legacy, json, "test premise: legacy keys inserted");
+        assert_eq!(MetricsSnapshot::from_json(&legacy).unwrap(), snap);
+    }
+
+    #[test]
     fn zeroing_blanks_only_host_section() {
         let mut snap = sample_snapshot();
         snap.zero_wall_clock();
         assert_eq!(snap.host.workers, 0);
-        assert_eq!(snap.host.pool_hits, 0);
         assert_eq!(snap.host.steals, 0);
         assert!(snap.host.latency.is_empty());
         assert_eq!(snap.host.profile.wall_ns, 0);

@@ -408,10 +408,7 @@ fn run_obsdiff(argv: &[String]) -> Result<(), String> {
     };
     let load = |p: &str| -> Result<MetricsSnapshot, String> {
         let text = std::fs::read_to_string(p).map_err(|e| format!("reading {p}: {e}"))?;
-        let snap: MetricsSnapshot =
-            serde_json::from_str(&text).map_err(|e| format!("parsing {p}: {e}"))?;
-        snap.validate().map_err(|e| format!("{p}: {e}"))?;
-        Ok(snap)
+        MetricsSnapshot::from_json(&text).map_err(|e| format!("{p}: {e}"))
     };
     let diff = diff_snapshots(&load(a_path)?, &load(b_path)?, &DiffOptions { volatile_pct });
     print!("{}", diff.render());
